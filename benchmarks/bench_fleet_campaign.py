@@ -71,7 +71,7 @@ def run_benchmark(rounds: int, chips_per_unit: int):
     each campaign run pays its full cost, which is exactly what the
     dispatch layer being measured amortizes.
     """
-    modes = {"per_chip": None, "fleet": chips_per_unit}
+    modes = {"per_chip": 1, "fleet": chips_per_unit}
     best = {name: float("inf") for name in modes}
     summaries = {}
     equivalent = True

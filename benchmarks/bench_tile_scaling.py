@@ -92,7 +92,7 @@ def identity_check(chips_per_vendor: int, chips_per_unit: int) -> bool:
     """serial per-chip == chunk == tile, on a population small enough to
     walk per-chip.  Two tilings (even and deliberately lopsided) guard
     the reduction, not just one partition."""
-    serial = summary_bytes(run_campaign(chips_per_vendor, workers=1))
+    serial = summary_bytes(run_campaign(chips_per_vendor, workers=1, chips_per_unit=1))
     chunk = summary_bytes(
         run_campaign(chips_per_vendor, workers=1, chips_per_unit=chips_per_unit)
     )

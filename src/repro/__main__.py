@@ -370,8 +370,10 @@ def main(argv=None) -> int:
     p_camp.add_argument(
         "--chips-per-unit", type=int, default=None, dest="chips_per_unit",
         help="fleet-batch size: ship chips to workers in chunks of this "
-             "many, evaluating each chunk with the fused fleet kernel "
-             "(>1 enables batching; results are byte-identical)",
+             "many, evaluating each chunk with the fused megakernel "
+             "(default: auto-sized from the worker count and the chips' "
+             "weak-cell tails; 1 = the per-chip worker; results are "
+             "byte-identical either way)",
     )
     p_camp.add_argument(
         "--no-shared-population", action="store_true", dest="no_shared_population",

@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import rng as rng_mod
+from ..dram.chip import expected_weak_cells
 from ..dram.geometry import ChipGeometry
 from ..dram.shm import (
     SharedPopulationStore,
@@ -40,6 +41,7 @@ from ..runner import (
     ProgressCallback,
     RunnerEngine,
     aggregate_chip_results,
+    auto_chips_per_unit,
     auto_condition_tiles,
     build_chip_units,
     campaign_fingerprint,
@@ -238,21 +240,27 @@ class CharacterizationCampaign:
         ``max_retries`` bounds per-chip re-attempts before a failure row is
         recorded, and ``progress`` observes every completed chip.
 
-        ``chips_per_unit`` > 1 ships chips to workers in fleet-batched
-        chunks (one fused-evaluation :func:`repro.runner.measure_fleet`
-        call per chunk) instead of one pool round-trip per chip.  Results
-        are byte-identical to the per-chip path, the result store still
-        holds one row per chip, and the campaign fingerprint is unchanged
-        -- fleet and per-chip runs can resume each other's run
-        directories.  ``None``/1 keeps the per-chip path.
+        ``chips_per_unit`` sets how many chips ship to a worker as one
+        fused unit (one :func:`repro.runner.measure_fleet` call evaluating
+        the whole condition grid with the megakernel) instead of one pool
+        round-trip per chip.  The default, ``None``, sizes the units
+        automatically (:func:`repro.runner.auto_chips_per_unit`): at most
+        ``ceil(n_chips / (4 * workers))`` chips, fewer when the chips' weak
+        tails are large enough to strain a worker's memory, one chip at
+        the least -- and builds no shared-memory segment.  An explicit
+        ``1`` keeps the per-chip :func:`repro.runner.measure_chip` worker
+        (the reference the fused path is tested against).  Results are
+        byte-identical for every setting, the result store still holds one
+        row per chip, and the campaign fingerprint is unchanged -- runs
+        with any unit size resume each other's run directories.
 
         ``shared_population`` moves the fleet path's weak-cell populations
         into one ``multiprocessing.shared_memory`` struct-of-arrays segment
         built once per run: workers attach zero-copy views by segment name
         instead of redrawing every chip's tail per chunk.  Defaults to on
-        whenever the fleet path is active; explicit ``True`` with
-        ``chips_per_unit`` <= 1 is refused (per-chip workers rebuild from
-        coordinates and never attach).  The campaign owns the segment's
+        whenever ``chips_per_unit`` > 1 is given; explicit ``True`` without
+        it is refused (per-chip and auto-sized workers draw their own
+        populations and never attach).  The campaign owns the segment's
         lifetime: it is unlinked in a ``finally`` (normal completion,
         cooperative cancel, and exceptions alike), and a ``shm.json``
         sidecar in the run directory lets the next open of that directory
@@ -265,8 +273,9 @@ class CharacterizationCampaign:
         (:meth:`repro.core.fleetprof.FleetProfiler.run_grid`); byte-
         identical to the sequential loop and likewise fingerprint-exempt.
 
-        ``condition_tiles`` shards the fleet path's work plane in two
-        dimensions: each chunk's condition plan splits into that many
+        ``condition_tiles`` (which needs ``chips_per_unit`` > 1) shards
+        the fleet path's work plane in two dimensions: each chunk's
+        condition plan splits into that many
         contiguous condition tiles, and every (chunk, tile) pair ships
         as its own work unit (``0`` sizes the tiling automatically from
         the worker count; ``None`` keeps plain chunk dispatch).  Tile
@@ -297,18 +306,21 @@ class CharacterizationCampaign:
                 f"chips_per_unit must be positive, got {chips_per_unit!r}"
             )
         backend = backend_from_spec(backend, workers=workers)
-        fleet_active = chips_per_unit is not None and chips_per_unit > 1
-        if shared_population and not fleet_active:
+        pool = backend if isinstance(backend, ProcessPoolBackend) else None
+        # Segments and tiles serve explicitly sized chunks only: auto-sized
+        # units are small enough that workers draw their own tails.
+        chunked = chips_per_unit is not None and chips_per_unit > 1
+        if shared_population and not chunked:
             raise ConfigurationError(
                 "shared_population requires the fleet path (chips_per_unit > 1); "
-                "per-chip workers rebuild from coordinates and never attach"
+                "per-chip and auto-sized workers draw their own populations"
             )
-        use_shm = fleet_active if shared_population is None else bool(shared_population)
+        use_shm = chunked if shared_population is None else bool(shared_population)
         if condition_tiles is not None and condition_tiles < 0:
             raise ConfigurationError(
                 f"condition_tiles must be >= 0 (0 = auto), got {condition_tiles!r}"
             )
-        if condition_tiles is not None and not fleet_active:
+        if condition_tiles is not None and not chunked:
             raise ConfigurationError(
                 "condition_tiles requires the fleet path (chips_per_unit > 1); "
                 "per-chip workers already walk their own condition plan"
@@ -328,11 +340,23 @@ class CharacterizationCampaign:
             vendor_names=vendor_names,
             fast_path=self.fast_path,
         )
+        max_trefi_s = max(float(t) for t in intervals_s) * TREFI_HEADROOM
+        # Only an explicit chips_per_unit=1 keeps the per-chip worker (the
+        # oracle); the default sizes fused units, one chip at the least.
+        per_chip = chips_per_unit == 1
+        if chips_per_unit is None:
+            chips_per_unit = auto_chips_per_unit(
+                len(units),
+                pool.workers if pool is not None else 1,
+                max(
+                    expected_weak_cells(vendor_by_name(name), self.geometry, max_trefi_s)
+                    for name in vendor_names
+                ),
+            )
         resolved_tiles: Optional[int] = None
         if condition_tiles is not None:
             n_conditions = len(intervals_s) + len(temperatures_c) - 1
             if condition_tiles == 0:
-                pool = backend if isinstance(backend, ProcessPoolBackend) else None
                 n_chunks = -(-len(units) // int(chips_per_unit))
                 resolved_tiles = auto_condition_tiles(
                     n_conditions,
@@ -375,12 +399,10 @@ class CharacterizationCampaign:
         }
         shm_store: Optional[SharedPopulationStore] = None
         dispatch = None
-        if fleet_active:
+        if not per_chip:
             shm_descriptor = None
             if use_shm:
-                max_trefi_s = max(float(t) for t in intervals_s) * TREFI_HEADROOM
                 specs = [chip_sample_spec(u.payload, max_trefi_s) for u in units]
-                pool = backend if isinstance(backend, ProcessPoolBackend) else None
                 samples = build_population_samples(
                     specs,
                     executor=pool.executor if pool is not None else None,

@@ -20,22 +20,25 @@ standalone would have discovered under the same schedule -- the contract
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..conditions import Conditions
 from ..dram.commands import Command, CommandRecord
-from ..dram.fleet import ChipFleet
+from ..dram.dpd import median_of_three
+from ..dram.fleet import ChipFleet, DeterministicReads
 from ..errors import CommandSequenceError, ConfigurationError, ProfilingError
 from ..patterns import STANDARD_PATTERNS, DataPattern
 
-#: Upper bound on the bytes of read uniforms a megakernel pass holds at
-#: once (across all chips).  Grids whose uniform block would exceed it are
-#: processed in row blocks -- value-identical, since per-chip block draws
-#: partition the stream exactly like the per-read draws they replace.
-_MEGAKERNEL_UNIFORM_CAP_BYTES = 128 * 1024 * 1024
+#: Bytes of read uniforms a megakernel pass holds at once (across all
+#: chips).  Rows are processed in blocks of whole pattern rounds sized to
+#: this cap -- value-identical, since per-chip block draws partition each
+#: read stream exactly like the per-read draws they replace -- so a unit's
+#: transient working set is fixed whatever its row or chip count (one
+#: pattern round is the floor).
+_BLOCK_CAP_BYTES = 1024 * 1024
 
 #: Block size of the draw-and-discard fallback in
 #: :func:`advance_uniform_doubles` (bounds the scratch allocation).
@@ -69,8 +72,7 @@ def advance_uniform_doubles(rng: np.random.Generator, count: int) -> None:
         remaining -= block
 
 
-@dataclass(frozen=True)
-class _ReadStep:
+class _ReadStep(NamedTuple):
     """One planned write/expose/read cycle of a condition grid."""
 
     cond: int
@@ -267,8 +269,16 @@ class FleetProfiler:
         steps: List[_ReadStep] = []
         records: List[CommandRecord] = []
         vrt_times: List[float] = []
+        write, disable, wait, enable, read = (
+            Command.WRITE_PATTERN,
+            Command.REFRESH_DISABLE,
+            Command.WAIT,
+            Command.REFRESH_ENABLE,
+            Command.READ_COMPARE,
+        )
         for ci, conditions in enumerate(conditions_grid):
             trefi = conditions.trefi
+            wait_detail = f"{trefi:.6f}s"
             for _ in range(self.iterations):
                 for pattern in self.patterns:
                     t = t + io
@@ -284,42 +294,15 @@ class FleetProfiler:
                         )
                     t = t + io
                     t_read = t
-                    steps.append(
-                        _ReadStep(
-                            cond=ci,
-                            pattern=pattern,
-                            exposure_s=exposure,
-                            t_write=t_write,
-                            t_wait=t_wait,
-                            t_read=t_read,
-                        )
+                    steps.append(_ReadStep(ci, pattern, exposure, t_write, t_wait, t_read))
+                    records += (
+                        CommandRecord(t_write, write, pattern.key),
+                        CommandRecord(t_write, disable),
+                        CommandRecord(t_wait, wait, wait_detail),
+                        CommandRecord(t_wait, enable),
+                        CommandRecord(t_read, read, f"exposure={exposure:.6f}s"),
                     )
-                    records.append(
-                        CommandRecord(
-                            time=t_write,
-                            command=Command.WRITE_PATTERN,
-                            detail=pattern.key,
-                        )
-                    )
-                    records.append(
-                        CommandRecord(time=t_write, command=Command.REFRESH_DISABLE)
-                    )
-                    records.append(
-                        CommandRecord(
-                            time=t_wait, command=Command.WAIT, detail=f"{trefi:.6f}s"
-                        )
-                    )
-                    records.append(
-                        CommandRecord(time=t_wait, command=Command.REFRESH_ENABLE)
-                    )
-                    records.append(
-                        CommandRecord(
-                            time=t_read,
-                            command=Command.READ_COMPARE,
-                            detail=f"exposure={exposure:.6f}s",
-                        )
-                    )
-                    vrt_times.extend((t_write, t_wait, t_read))
+                    vrt_times += (t_write, t_wait, t_read)
         return steps, records, vrt_times, t
 
     def seek_grid(
@@ -443,8 +426,6 @@ class FleetProfiler:
         population = fleet.population
         n_chips = len(chips)
         n_total = len(population)
-        io = fleet._io_seconds
-        max_trefi = fleet._max_trefi_s
 
         # Entry invariants the sequential walk would enforce on its first
         # commands (same exceptions, before any state changes).
@@ -464,81 +445,10 @@ class FleetProfiler:
                 fleet, conditions_grid, t
             )
         n_rows = len(steps)
-
-        # ------------------------------------------------------------------
-        # DPD excitation replay.  The sequential walk excites every chip at
-        # every write, but a deterministic pattern only *draws* on its first
-        # excitation (later calls return the cached arrays untouched), so
-        # exciting once per (chip, deterministic pattern) and reusing the
-        # returned arrays consumes each chip's DPD stream identically --
-        # including the object identities the fleet caches pin on.
-        # Stochastic patterns redraw every write, exactly like the walk.
-        # ------------------------------------------------------------------
-        with obs.span("kernel.dpd_excite", chips=n_chips, rows=n_rows):
-            align_rows: List[object] = [None] * n_rows
-            stress_rows: List[object] = [None] * n_rows
-            det_cache: Dict[str, Tuple[tuple, tuple]] = {}
-            segments = [population.segment(i) for i in range(n_chips)]
-            spaces = [population.member_indices(i) for i in range(n_chips)]
-            dpds = tuple(chip.population.dpd for chip in chips)
-            excites = tuple(d.excite for d in dpds)
-            # The standard random pattern family batches across the fleet: one
-            # raw-uniform draw per chip (``random(4n)`` fills the identical
-            # doubles the per-chip ``(3, n)`` median draw plus ``(n,)`` bit
-            # draw would), then the column median, cap multiply, bit threshold,
-            # and orientation compare run once over the stacked tails --
-            # elementwise per cell, so each chip's slice is bit-equal to its
-            # own excite() call.  Exotic stochastic patterns (non-Beta(2,2) or
-            # non-random families) keep the per-chip path.
-            batch_ok = all(d.models_orientation for d in dpds)
-            if batch_ok:
-                caps_cells = np.repeat(
-                    [d._random_cap for d in dpds],
-                    [end - start for start, end in segments],
-                )
-                orientation_cells = np.concatenate([d._orientation for d in dpds])
-                raw_bufs = [
-                    np.empty(4 * (end - start)) for start, end in segments
-                ]
-                u3 = np.empty((3, n_total), dtype=np.float64)
-                bits_u = np.empty(n_total, dtype=np.float64)
-                data_bits = np.empty(n_total, dtype=bool)
-            batched_last: Dict[str, int] = {}
-            for r, step in enumerate(steps):
-                pattern = step.pattern
-                if pattern.stochastic:
-                    if (
-                        batch_ok
-                        and pattern.name == "random"
-                        and pattern.alignment_beta == (2.0, 2.0)
-                    ):
-                        for i in range(n_chips):
-                            start, end = segments[i]
-                            n = end - start
-                            raw = dpds[i].excite_random_raw(out=raw_bufs[i])
-                            u3[:, start:end] = raw[: 3 * n].reshape(3, n)
-                            bits_u[start:end] = raw[3 * n :]
-                        u3.sort(axis=0)
-                        draw = np.multiply(u3[1], caps_cells)
-                        np.less(bits_u, 0.5, out=data_bits)
-                        mask = np.empty(n_total, dtype=np.float64)
-                        if pattern.inverted:
-                            np.not_equal(data_bits, orientation_cells, out=mask)
-                        else:
-                            np.equal(data_bits, orientation_cells, out=mask)
-                        align_rows[r] = draw
-                        stress_rows[r] = mask
-                        batched_last[pattern.key] = r
-                    else:
-                        align_rows[r], stress_rows[r] = zip(
-                            *[excite(pattern) for excite in excites]
-                        )
-                else:
-                    entry = det_cache.get(pattern.key)
-                    if entry is None:
-                        entry = tuple(zip(*[excite(pattern) for excite in excites]))
-                        det_cache[pattern.key] = entry
-                    align_rows[r], stress_rows[r] = entry
+        period = len(self.patterns)
+        exposures = np.array([step.exposure_s for step in steps], dtype=np.float64)
+        row_cond = np.array([step.cond for step in steps], dtype=np.intp)
+        segments = [population.segment(i) for i in range(n_chips)]
 
         # ------------------------------------------------------------------
         # VRT: one vectorized arrival check per chip covers the whole grid.
@@ -546,7 +456,9 @@ class FleetProfiler:
         # read queries against any pre-existing episodes -- post-hoc is
         # exact there because the episode set is constant over the grid.
         # A chip that would draw an episode replays the schedule with the
-        # sequential advance/query interleaving, bit for bit.
+        # sequential advance/query interleaving, bit for bit.  (Each chip's
+        # VRT, DPD, and read streams are independent generators, so the
+        # phases may run in any order.)
         # ------------------------------------------------------------------
         with obs.span("kernel.vrt", chips=n_chips):
             schedule = np.asarray(vrt_times, dtype=np.float64)
@@ -568,98 +480,180 @@ class FleetProfiler:
                             vrt_hits.setdefault(r, []).append((i, cells))
 
         # ------------------------------------------------------------------
-        # Fused read evaluation, blocked to cap uniform memory.  Per block:
-        # one (rows x tail) uniform draw per chip (the block draw partitions
-        # each read stream exactly like the per-read draws), one stacked
-        # probability matrix computed pattern-by-pattern (all of a pattern's
-        # exposures through a single ndtr), one compare + per-condition
-        # any() reduction per chip.  Stochastic rows gather their
-        # chip-ordered uniforms out of the same blocks and go through the
+        # DPD excitation and read evaluation, streamed in row blocks of
+        # whole pattern rounds sized to a fixed byte cap, so the working
+        # set does not grow with the grid or the fleet.
+        #
+        # DPD: the sequential walk excites every chip at every write, but a
+        # deterministic pattern only *draws* on its first excitation (later
+        # calls return the cached arrays untouched), so exciting once per
+        # (chip, deterministic pattern) and reusing the returned arrays
+        # consumes each chip's DPD stream identically -- including the
+        # object identities the fleet caches pin on.  Stochastic patterns
+        # redraw every write, exactly like the walk, and live only as long
+        # as their block.  The standard random pattern family batches
+        # across the fleet: each chip draws its ``4n`` raw doubles (the
+        # identical doubles the per-chip ``(3, n)`` median draw plus
+        # ``(n,)`` bit draw consume) straight into one stacked buffer, then
+        # the median network, cap multiply, bit threshold, and orientation
+        # compare run once over the fleet -- elementwise per cell, so each
+        # chip's slice is bit-equal to its own excite() call.  Exotic
+        # stochastic patterns (non-Beta(2,2) or non-random families) keep
+        # the per-chip path.
+        #
+        # Reads: each chip draws its block's ``(rows x tail)`` uniforms in
+        # stream order (the block draw partitions the read stream exactly
+        # like the per-read draws).  Deterministic rows go through the
+        # monotone pre-filter (:class:`DeterministicReads`): one ndtr pass
+        # per pattern bounds every row, and the exact pipeline runs only on
+        # the few uniforms under the bound.  Stochastic rows gather their
+        # chip-ordered uniforms out of the same block and go through the
         # fleet's Chernoff-banded sampler unchanged.
         # ------------------------------------------------------------------
-        with obs.span("kernel.read_compare", chips=n_chips, rows=n_rows):
-            scales = tuple(
-                float(chip.population.retention_scale(chip._temperature_c))
-                for chip in chips
-            )
-            rows_per_block = max(
-                1, int(_MEGAKERNEL_UNIFORM_CAP_BYTES // max(1, n_total * 8))
-            )
-            discovered = [np.zeros(n_total, dtype=bool) for _ in conditions_grid]
-            for b0 in range(0, n_rows, rows_per_block):
-                b1 = min(b0 + rows_per_block, n_rows)
-                nb = b1 - b0
-                block = steps[b0:b1]
-                # Column-major: each chip's segment of the uniform matrix (and
-                # the matching probability columns) is then one contiguous run,
-                # so the per-chip draws land with plain memcpys instead of
-                # row-strided scatter writes, and the any(axis=0) reduction
-                # walks contiguous columns.  Values are order-independent.
-                P = np.empty((nb, n_total), dtype=np.float64, order="F")
-                stoch_local: List[int] = []
-                det_local: Dict[str, List[int]] = {}
+        dpds = tuple(chip.population.dpd for chip in chips)
+        excites = tuple(d.excite for d in dpds)
+        lengths = np.array([end - start for start, end in segments], dtype=np.intp)
+        # Per cell: its chip's tail length and its offset within the chip,
+        # the coordinates of the chip-major layouts below.
+        cell_tail = np.repeat(lengths, lengths)
+        cell_start = np.repeat(np.array([s for s, _ in segments], dtype=np.intp), lengths)
+        cell_local = np.arange(n_total, dtype=np.intp) - cell_start
+        batch_ok = all(d.models_orientation for d in dpds)
+        if batch_ok:
+            caps_cells = np.repeat([d._random_cap for d in dpds], lengths)
+            orientation_cells = np.concatenate([d._orientation for d in dpds])
+        scales = tuple(
+            float(chip.population.retention_scale(chip._temperature_c))
+            for chip in chips
+        )
+        keys = [None if p.stochastic else p.key for p in self.patterns]
+        det_per_round = sum(key is not None for key in keys)
+        by_position = np.where(exposures > 0.0, exposures, 0.0).reshape(-1, period).max(axis=0)
+        max_exposures: Dict[str, float] = {}
+        for key, exposure in zip(keys, by_position.tolist()):
+            if key is not None and exposure > 0.0:
+                max_exposures[key] = max(max_exposures.get(key, 0.0), exposure)
+        rows_per_block = period * max(
+            1, _BLOCK_CAP_BYTES // (period * 8 * max(1, n_total))
+        )
+        uniforms = np.empty(min(rows_per_block, n_rows) * n_total, dtype=np.float64)
+        u_row = np.empty(n_total, dtype=np.float64)
+        u_at = np.empty(n_total, dtype=np.intp)
+        det_cache: Dict[str, Tuple[tuple, tuple]] = {}
+        batched_last: Dict[str, Tuple[DataPattern, np.ndarray, np.ndarray]] = {}
+        reads: Optional[DeterministicReads] = None
+        discovered = np.zeros((len(conditions_grid), n_total), dtype=bool)
+        compared = candidates = 0
+
+        def excite_batched(
+            block: Sequence[_ReadStep],
+            rows: List[int],
+            entries: Dict[int, Tuple[object, object]],
+        ) -> None:
+            """Draw and post-process the block's pending standard random
+            writes into ``entries``, then clear ``rows``.
+
+            Nothing else draws from a chip's DPD stream between them, so
+            each chip fills all ``k`` writes' ``4n`` doubles in one call,
+            straight into its chip-major slice of one stacked buffer.
+            """
+            k = len(rows)
+            raw = np.empty(4 * k * n_total, dtype=np.float64)
+            for i, (start, end) in enumerate(segments):
+                dpds[i].excite_random_raw(out=raw[4 * k * start : 4 * k * end])
+            if n_chips == 1:
+                operands = raw.reshape(k, 4, n_total)
+            else:
+                # operands[w, c, g]: operand c of write w for cell g.
+                at = np.arange(4 * k, dtype=np.intp).reshape(k, 4, 1) * cell_tail
+                at += 4 * k * cell_start + cell_local
+                operands = np.take(raw, at)
+            draws = median_of_three(operands[:, 0], operands[:, 1], operands[:, 2])
+            np.multiply(draws, caps_cells, out=draws)
+            data_bits = np.less(operands[:, 3], 0.5)
+            masks = np.empty((k, n_total), dtype=np.float64)
+            for w, j in enumerate(rows):
+                pattern = block[j].pattern
+                if pattern.inverted:
+                    np.not_equal(data_bits[w], orientation_cells, out=masks[w])
+                else:
+                    np.equal(data_bits[w], orientation_cells, out=masks[w])
+                entries[j] = (draws[w], masks[w])
+                batched_last[pattern.key] = (pattern, draws[w], masks[w])
+            rows.clear()
+
+        for b0 in range(0, n_rows, rows_per_block):
+            b1 = min(b0 + rows_per_block, n_rows)
+            nb = b1 - b0
+            block = steps[b0:b1]
+            # Block row -> (alignments, stresses) of its stochastic write.
+            entries: Dict[int, Tuple[object, object]] = {}
+            with obs.span("kernel.dpd_excite", chips=n_chips, rows=nb):
+                pending: List[int] = []
                 for j, step in enumerate(block):
-                    if step.pattern.stochastic:
-                        stoch_local.append(j)
-                        P[j] = 0.0
-                    elif step.exposure_s > 0.0:
-                        det_local.setdefault(step.pattern.key, []).append(j)
+                    pattern = step.pattern
+                    if not pattern.stochastic:
+                        if pattern.key not in det_cache:
+                            if pending:
+                                excite_batched(block, pending, entries)
+                            det_cache[pattern.key] = tuple(
+                                zip(*[excite(pattern) for excite in excites])
+                            )
+                    elif (
+                        batch_ok
+                        and pattern.name == "random"
+                        and pattern.alignment_beta == (2.0, 2.0)
+                    ):
+                        pending.append(j)
                     else:
-                        # Zero exposures keep an all-zero row: the sequential
-                        # path short-circuits to "no failures" there (while
-                        # still consuming the uniforms, as the block draw does).
-                        P[j] = 0.0
-                has_det = bool(det_local)
-                for key, rows in det_local.items():
-                    # All of a deterministic pattern's rows share one cached
-                    # alignment/stress draw, so the whole group stacks into one
-                    # ndtr pass (row-for-row bit-equal to deterministic_p).
-                    aligns, stresses = det_cache[key]
-                    P[np.asarray(rows, dtype=np.intp)] = population.deterministic_p_grid(
-                        [block[j].exposure_s for j in rows],
-                        scales,
-                        key,
-                        aligns,
-                        stresses,
+                        if pending:
+                            excite_batched(block, pending, entries)
+                        entries[j] = tuple(zip(*[excite(pattern) for excite in excites]))
+                if pending:
+                    excite_batched(block, pending, entries)
+
+            with obs.span("kernel.read_compare", chips=n_chips, rows=nb):
+                if reads is None:
+                    # The first block spans a whole pattern round, so every
+                    # deterministic pattern has been excited by now.
+                    reads = DeterministicReads(
+                        population, scales, keys, det_cache, max_exposures
                     )
-                # One chip-ordered uniform matrix covers the block: each chip's
-                # (rows x tail) draw partitions its read stream exactly like the
-                # per-read draws, and stacking the segments side by side lets
-                # the deterministic compare and the stochastic row gathers run
-                # on views instead of per-chip loops.
-                u_all = np.empty((nb, n_total), dtype=np.float64, order="F")
+                blocks = []
                 for i, chip in enumerate(chips):
                     start, end = segments[i]
+                    view = uniforms[nb * start : nb * end].reshape(nb, end - start)
                     if end > start:
-                        u_all[:, start:end] = chip.read_rng.random((nb, end - start))
-                if has_det:
-                    cmp = u_all < P
-                    # Rows arrive grouped by condition (the schedule walks the
-                    # grid in order), so each condition owns a contiguous row
-                    # range.  Stochastic and zero-exposure rows keep their
-                    # all-zero P row -- they contribute nothing to the compare
-                    # -- which lets the reduction run on plain slices.
-                    lo = 0
-                    for hi in range(1, nb + 1):
-                        if hi == nb or block[hi].cond != block[lo].cond:
-                            discovered[block[lo].cond] |= cmp[lo:hi].any(axis=0)
-                            lo = hi
-                for j in stoch_local:
+                        chip.read_rng.random(out=view)
+                    blocks.append(view)
+                rows, cells, found = reads.failures(blocks, exposures[b0:b1])
+                discovered[row_cond[b0 + rows], cells] = True
+                block_cells = (nb // period) * det_per_round * n_total
+                compared += block_cells
+                candidates += found
+                for j, (aligns, stresses) in entries.items():
                     step = block[j]
                     if step.exposure_s == 0.0:
                         continue
+                    if n_chips == 1:
+                        u = blocks[0][j]
+                    else:
+                        # Row j of every chip's block, in chip order.
+                        np.multiply(cell_tail, j, out=u_at)
+                        u_at += nb * cell_start + cell_local
+                        u = np.take(uniforms, u_at, out=u_row)
                     mask = population._sample_banded(
-                        step.exposure_s,
-                        scales,
-                        align_rows[b0 + j],
-                        stress_rows[b0 + j],
-                        (),
-                        # Rows of the column-major matrix are strided; the
-                        # banded sampler runs several elementwise passes over
-                        # u, so one contiguous copy up front is cheaper.
-                        u=np.ascontiguousarray(u_all[j]),
+                        step.exposure_s, scales, aligns, stresses, (), u=u
                     )
                     discovered[step.cond] |= mask
+                obs.annotate(cells=block_cells, candidates=found)
+        last = steps[-1]
+        if last.pattern.stochastic:
+            last_aligns, last_stresses = entries[len(block) - 1]
+        else:
+            last_aligns, last_stresses = det_cache[last.pattern.key]
+        if compared:
+            obs.observe("kernel.prefilter.candidate_frac", candidates / compared)
 
         # Fold VRT hits into their step's condition.
         extras: List[List[Set[int]]] = [
@@ -683,19 +677,17 @@ class FleetProfiler:
         # overwritten by later ones in the sequential walk, so only the
         # last row per key is observable).
         with obs.span("kernel.commit", chips=n_chips):
-            for key, r in batched_last.items():
-                pattern = steps[r].pattern
-                draw = align_rows[r]
-                mask = stress_rows[r]
+            for pattern, draw, mask in batched_last.values():
+                # Copies: the rows are views of their block's batch.
+                draw, mask = draw.copy(), mask.copy()
+                if last.pattern.key == pattern.key:
+                    last_aligns, last_stresses = draw, mask
                 for i in range(n_chips):
                     start, end = segments[i]
                     dpds[i].commit_random_write(
                         pattern, draw[start:end], mask[start:end]
                     )
 
-            last = steps[-1]
-            last_aligns = align_rows[-1]
-            last_stresses = stress_rows[-1]
             last_stacked = isinstance(last_aligns, np.ndarray)
             for i, chip in enumerate(chips):
                 chip.clock._now = t_final
@@ -714,6 +706,7 @@ class FleetProfiler:
 
         out = []
         chip_ids = [chip.chip_id for chip in chips]
+        spaces = [population.member_indices(i) for i in range(n_chips)]
         empty = frozenset()
         for ci in range(len(conditions_grid)):
             mask = discovered[ci]

@@ -86,6 +86,17 @@ def weak_cell_horizon_s(vendor: VendorModel, max_trefi_s: float) -> float:
     return max_trefi_s * headroom
 
 
+def expected_weak_cells(
+    vendor: VendorModel, geometry: ChipGeometry, max_trefi_s: float
+) -> float:
+    """Mean weak-tail size of a chip: the Poisson mean its sampler draws
+    the tail's cell count from."""
+    horizon = weak_cell_horizon_s(vendor, max_trefi_s)
+    return geometry.capacity_bits * vendor.weak_cell_probability(
+        horizon, temperature_c=REFERENCE_TEMPERATURE_C
+    )
+
+
 def sample_weak_cells(
     vendor: VendorModel,
     geometry: ChipGeometry,

@@ -33,6 +33,21 @@ from ..errors import ConfigurationError, ProfilingError
 from ..patterns import DataPattern
 
 
+def median_of_three(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Elementwise median of three arrays, by the exact min/max network
+    ``max(min(a, b), min(max(a, b), c))``.
+
+    Pure selection: every output element *is* one of its three inputs (the
+    middle one), so the result is bit-equal to the middle row of
+    ``np.sort([a, b, c], axis=0)`` for any non-NaN input, at a fraction of
+    the cost of a column sort.  ``a`` is overwritten as scratch.
+    """
+    low = np.minimum(a, b)
+    np.maximum(a, b, out=a)
+    np.minimum(a, c, out=a)
+    return np.maximum(low, a, out=low)
+
+
 class DPDModel:
     """Per-cell data-pattern-dependence state for one chip.
 
@@ -134,11 +149,7 @@ class DPDModel:
         fall back to the generator's Beta sampler.
         """
         if a == 2.0 and b == 2.0:
-            u = self._rng.random((3, self.n_cells))
-            return np.maximum(
-                np.minimum(u[0], u[1]),
-                np.minimum(np.maximum(u[0], u[1]), u[2]),
-            )
+            return median_of_three(*self._rng.random((3, self.n_cells)))
         return self._rng.beta(a, b, size=self.n_cells)
 
     def stress_mask(self, pattern: DataPattern, fresh: bool = False) -> np.ndarray:
@@ -202,11 +213,7 @@ class DPDModel:
             a, b = pattern.alignment_beta
             if a == 2.0 and b == 2.0:
                 # Median-of-three uniforms == Beta(2, 2); see _draw_beta.
-                # Pure selection -- an in-place column sort picks the exact
-                # same middle element as the min/max formula, in one call.
-                u = rng.random((3, self._n_cells))
-                u.sort(axis=0)
-                draw = u[1]
+                draw = median_of_three(*rng.random((3, self._n_cells)))
             else:
                 draw = rng.beta(a, b, size=self._n_cells)
             np.multiply(draw, self._random_cap, out=draw)
@@ -242,18 +249,20 @@ class DPDModel:
         )
 
     def excite_random_raw(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Raw uniforms for one random-pattern write (fleet batching).
+        """Raw uniforms for random-pattern writes (fleet batching).
 
         Consumes this chip's DPD stream exactly like the random branch of
         :meth:`excite`: one ``random(4n)`` call fills the identical doubles
         the ``(3, n)`` median draw plus the ``(n,)`` bit draw would (the
         generator fills arrays element by element from the same double
-        sequence regardless of chunking).  The caller runs the shared
-        post-processing -- column median, cap multiply, bit threshold,
-        orientation compare -- over the stacked fleet and commits each
-        chip's slice via :meth:`commit_random_write`.  Requires orientation
-        modeling (without it :meth:`excite` draws no bits, so the raw
-        consumption would differ).
+        sequence regardless of chunking).  An ``out`` of ``k * 4n`` doubles
+        holds ``k`` consecutive writes the same way, as long as nothing
+        else draws from this stream in between.  The caller runs the shared
+        post-processing -- median, cap multiply, bit threshold, orientation
+        compare -- over the stacked fleet and commits each chip's slice via
+        :meth:`commit_random_write`.  Requires orientation modeling
+        (without it :meth:`excite` draws no bits, so the raw consumption
+        would differ).
         """
         if self._orientation is None:
             raise ProfilingError(

@@ -38,7 +38,7 @@ static mask so a batch profiler can fold both into its bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -46,6 +46,7 @@ from scipy.special import ndtr
 from .. import obs
 from ..errors import CommandSequenceError, ConfigurationError, ProfilingError
 from .cell import (
+    Z_PIN_ZERO,
     _CHERNOFF_Z_MAX,
     _FAST_CACHE_MAX_ENTRIES,
     _FAST_CACHE_MAX_EXPOSURES,
@@ -53,6 +54,12 @@ from .cell import (
 )
 from .chip import PendingRead, SimulatedDRAMChip
 from .commands import Command, CommandRecord
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenation of per-chip arrays; a fleet of one reuses its chip's
+    array instead of copying it (every fused use is read-only)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _same_arrays(refs: Tuple, arrays: Sequence) -> bool:
@@ -114,11 +121,9 @@ class FleetPopulation:
             self._sigma = backing["sigma_s"]
             self._susceptibility = backing["susceptibility"]
         else:
-            self._mu_wc = np.concatenate([p.mu_wc_s for p in members])
-            self._sigma = np.concatenate([p.sigma_s for p in members])
-            self._susceptibility = np.concatenate(
-                [p.dpd.susceptibility for p in members]
-            )
+            self._mu_wc = _stacked([p.mu_wc_s for p in members])
+            self._sigma = _stacked([p.sigma_s for p in members])
+            self._susceptibility = _stacked([p.dpd.susceptibility for p in members])
         # (1 - s) is a loop invariant of the effective-retention expression;
         # dividing by the precomputed array is the same IEEE divide as
         # dividing by the expression, so bits are unchanged.
@@ -227,7 +232,7 @@ class FleetPopulation:
                 "fleet chips disagree on stress-mask availability; all chips "
                 "must model orientation or none"
             )
-        return np.concatenate(arrays)
+        return _stacked(arrays)
 
     def _draw_uniforms(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """One full-tail uniform draw per chip, in chip order, into the
@@ -251,7 +256,7 @@ class FleetPopulation:
         entry = self._mu_unscaled.get(pattern_key)
         if entry is not None and _same_arrays(entry[0], alignments):
             return entry[1]
-        mu = self._effective_retention(np.concatenate(alignments))
+        mu = self._effective_retention(_stacked(alignments))
         if len(self._mu_unscaled) >= _FAST_CACHE_MAX_ENTRIES:
             self._mu_unscaled.clear()
         self._mu_unscaled[pattern_key] = (tuple(alignments), mu)
@@ -360,6 +365,26 @@ class FleetPopulation:
             state.p_by_exposure[key] = entry
         return entry[1]
 
+    def pattern_arrays(
+        self,
+        scales: Tuple[float, ...],
+        pattern_key: str,
+        alignments: Sequence[np.ndarray],
+        stresseds: Sequence[Optional[np.ndarray]],
+        out: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``(mu_eff, sigma_eff, stressed)`` over the concatenated cells for
+        one deterministic pattern -- the operands of its z pipeline.
+
+        ``mu_eff`` is the product :meth:`deterministic_p` memoizes (same
+        ufunc, same operands, so the same bits), computed into ``out``
+        when given instead of into a new memo entry.
+        """
+        mu_eff = np.multiply(
+            self._unscaled_mu(pattern_key, alignments), self._scale_cells(scales), out=out
+        )
+        return mu_eff, self._sigma_eff(scales), self._concat_stressed(pattern_key, stresseds)
+
     def deterministic_p_grid(
         self,
         exposures_s: Sequence[float],
@@ -374,10 +399,13 @@ class FleetPopulation:
         bit-equal to ``deterministic_p(exposures_s[k], ...)``: the z
         pipeline and ndtr are elementwise ufuncs, so evaluating them on a
         broadcast matrix applies the identical scalar operation to the
-        identical operands.  One ndtr call amortizes the per-row dispatch
-        overhead the megakernel would otherwise pay once per read (row
-        exposures are distinct floats -- each accumulates its own clock
-        error -- so the per-exposure memo cannot help there).
+        identical operands.  This is the unfiltered reference the
+        megakernel's :class:`DeterministicReads` pre-filter is tested
+        against; it allocates ``rows x cells``, so production code does not
+        call it.  (Row exposures accumulate clock error, but reads of one
+        condition often repeat an exposure bit for bit: the per-chip path
+        hits its per-exposure memo on about half its deterministic reads
+        at ``iterations=2``.)
         """
         state = self._pattern_state(pattern_key, scales, alignments)
         p = np.subtract(
@@ -422,9 +450,7 @@ class FleetPopulation:
         read generator is consumed in fleet order as usual."""
         scale_cells = self._scale_cells(scales)
         alignment = (
-            alignments
-            if isinstance(alignments, np.ndarray)
-            else np.concatenate(alignments)
+            alignments if isinstance(alignments, np.ndarray) else _stacked(alignments)
         )
         # Stage the whole z pipeline through the two scratch buffers: each
         # step is the ufunc the operator expression would invoke, applied
@@ -453,6 +479,127 @@ class FleetPopulation:
                 p = p * stressed[candidates]
             failed[candidates] = u[candidates] < p
         return failed
+
+
+#: Relative widening of a pre-filter bound.  ``ndtr`` is monotone on any
+#: coarse grid, but its erf/erfc polynomials wiggle by up to ~12 ulps
+#: (relative ~2e-15) between neighbouring arguments; 2**-30 (~9e-10)
+#: covers that with a margin of five orders of magnitude.
+PREFILTER_SLACK = 2.0**-30
+
+#: Absolute floor added to every computed bound, covering wiggles among
+#: subnormal probabilities where relative slack rounds away.  Uniform
+#: draws are multiples of 2**-53, so the floor only admits ``u == 0.0``
+#: candidates.
+PREFILTER_FLOOR = 2.0**-1000
+
+
+class DeterministicReads:
+    """Pre-filtered read/compare for the deterministic rows of a grid.
+
+    Within one pattern, rows differ only by exposure, and every step of
+    the exact per-cell pipeline ``ndtr((e - mu_eff) / sigma_eff) *
+    stressed`` is monotone in ``e`` (IEEE subtract, divide by a positive
+    sigma, ``ndtr`` up to :data:`PREFILTER_SLACK`, multiply by a
+    non-negative mask).  So one ``ndtr`` pass per pattern at its largest
+    row exposure gives a per-cell bound ``p_max`` on every row's
+    probability, and a read ``u < p`` can only fire where ``u < p_max``.
+    :meth:`failures` compares every drawn uniform against the bound and
+    runs the exact pipeline -- the same ufuncs on the same operands, so
+    the same bits -- only on those candidates.  Cells that cannot fail --
+    unstressed, or at or below :data:`~repro.dram.cell.Z_PIN_ZERO` at the
+    largest exposure, where ``ndtr`` is exactly 0 -- keep a zero bound
+    and cost no ``ndtr`` at all.
+
+    ``keys`` names the deterministic pattern at each position of the
+    schedule's pattern round (``None`` for stochastic positions, whose
+    bound row stays 0 so they never become candidates); ``inputs`` maps a
+    key to its per-chip ``(alignments, stresseds)``; ``max_exposures``
+    maps a key to the largest positive exposure among its rows (keys
+    without one are never read).
+    """
+
+    def __init__(
+        self,
+        population: FleetPopulation,
+        scales: Tuple[float, ...],
+        keys: Sequence[Optional[str]],
+        inputs: Mapping[str, Tuple[Sequence[np.ndarray], Sequence[Optional[np.ndarray]]]],
+        max_exposures: Mapping[str, float],
+    ) -> None:
+        self.population = population
+        shape = (len(keys), len(population))
+        self.bounds = np.zeros(shape, dtype=np.float64)
+        # Per position, the exact pipeline's operands, stacked so the
+        # candidates of every pattern gather theirs in one pass each.
+        self._mu_eff = np.zeros(shape, dtype=np.float64)
+        self._stressed = np.ones(shape, dtype=np.float64)
+        self._sigma_eff = population._sigma_eff(scales)
+        for position, key in enumerate(keys):
+            if key is None or key not in max_exposures:
+                continue
+            mu_eff, sigma_eff, stressed = population.pattern_arrays(
+                scales, key, *inputs[key], out=self._mu_eff[position]
+            )
+            z = np.subtract(max_exposures[key], mu_eff)
+            np.divide(z, sigma_eff, out=z)
+            live = z > Z_PIN_ZERO
+            if stressed is not None:
+                live &= stressed != 0.0
+                self._stressed[position] = stressed
+            at = np.flatnonzero(live)
+            p = ndtr(z[at])
+            if stressed is not None:
+                np.multiply(p, stressed[at], out=p)
+            self.bounds[position, at] = p * (1.0 + PREFILTER_SLACK) + PREFILTER_FLOOR
+
+    def failures(
+        self, blocks: Sequence[np.ndarray], exposures_s: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Failed ``(rows, cells)`` of one block of reads, plus the number
+        of candidates the bound let through.
+
+        ``blocks`` holds each chip's ``(rows, tail)`` uniforms in its
+        stream's order; ``exposures_s`` the rows' exposures.  The block
+        starts a pattern round and spans whole rounds, so row ``j`` wrote
+        the pattern at position ``j % len(keys)``.  ``rows`` index the
+        block, ``cells`` the concatenated cell space; rows with zero
+        exposure never fail (the sequential path short-circuits there).
+        """
+        period = len(self.bounds)
+        offsets = self.population.offsets
+        found = []
+        for i, block in enumerate(blocks):
+            start, end = int(offsets[i]), int(offsets[i + 1])
+            n = end - start
+            if n == 0:
+                continue
+            flat = np.flatnonzero(
+                block.reshape(-1, period, n) < self.bounds[:, start:end]
+            )
+            if flat.size:
+                found.append((flat // n, flat % n + start, block.reshape(-1)[flat]))
+        if not found:
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty, 0
+        rows, cells, u = (np.concatenate(parts) for parts in zip(*found))
+        n_candidates = len(rows)
+        exposures = exposures_s[rows]
+        positions = rows % period
+        # A zero bound never admits a uniform, so every candidate comes
+        # from a deterministic position; zero-exposure rows are dropped.
+        keep = np.flatnonzero(exposures > 0.0)
+        rows, cells, u = rows[keep], cells[keep], u[keep]
+        at = positions[keep] * len(self.population) + cells
+        # The exact pipeline on the candidates: the same ufuncs, in the
+        # same order, on the same operands -- so the same bits.  A
+        # stressed factor of 1.0 leaves a probability unchanged.
+        p = np.subtract(exposures[keep], self._mu_eff.reshape(-1)[at])
+        np.divide(p, self._sigma_eff[cells], out=p)
+        ndtr(p, out=p)
+        np.multiply(p, self._stressed.reshape(-1)[at], out=p)
+        failed = u < p
+        return rows[failed], cells[failed], n_candidates
 
 
 class ChipFleet:

@@ -78,6 +78,7 @@ __all__ = [
     "TeeEventSink",
     "TraceContext",
     "Tracer",
+    "annotate",
     "capture",
     "new_span_id",
     "new_trace_id",
@@ -129,6 +130,9 @@ class Observability:
 
     def emit(self, event: str, **fields: Any) -> None:
         self.sink.emit(event, **fields)
+
+    def annotate(self, **attrs: Any) -> None:
+        self.tracer.annotate(**attrs)
 
     # -- sinks ----------------------------------------------------------
     def set_sink(self, sink) -> None:
@@ -311,6 +315,12 @@ def span(name: str, **attrs: Any):
 def emit(event: str, **fields: Any) -> None:
     if _ENABLED:
         _DEFAULT.emit(event, **fields)
+
+
+def annotate(**attrs: Any) -> None:
+    """Attach ``attrs`` to the innermost open span's event."""
+    if _ENABLED:
+        _DEFAULT.annotate(**attrs)
 
 
 def sink_to(path: Union[str, os.PathLike]):

@@ -13,7 +13,9 @@ redraws one composite frame per interval --
   live p50/p99 unit latency from the per-job metrics;
 * kernel-phase breakdown: mean duration and call count of the
   megakernel's ``span.kernel.*`` phase histograms, aggregated across
-  every running (and completed) job from the OpenMetrics exposition;
+  every running (and completed) job from the OpenMetrics exposition,
+  plus the read pre-filter's mean candidate fraction
+  (``kernel.prefilter.candidate_frac``);
 * request table: per-route request counts and mean latency.
 
 Everything below :func:`run_top` is a pure function of fetched payloads,
@@ -179,6 +181,13 @@ def render_frame(
         lines += ["", f"{bold}{'KERNEL PHASE':<20} {'CALLS':>8} {'MEAN':>10}{reset}"]
         for phase, count, mean in phases:
             lines.append(f"{phase:<20} {count:>8} {_fmt_seconds(mean):>10}")
+    prefilter = _histogram_means(samples, "kernel_prefilter_candidate_frac")
+    if prefilter:
+        _key, grids, mean = prefilter[0]
+        lines.append(
+            f"prefilter: {mean:.2%} of deterministic reads were candidates "
+            f"(mean over {grids} grids)"
+        )
     requests = _histogram_means(samples, "service_request_seconds", label="route")
     if requests:
         lines += ["", f"{bold}{'ROUTE':<28} {'REQS':>8} {'MEAN':>10}{reset}"]

@@ -42,7 +42,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .context import TraceContext, new_span_id
 from .events import NullEventSink
@@ -71,9 +71,10 @@ class Tracer:
         self.sink = sink if sink is not None else NullEventSink()
         #: Optional trace identity; set it to stamp span ids onto events.
         self.context: Optional[TraceContext] = None
-        # Stack frames are (name, span_id); span_id is None when the
-        # frame was opened without a context.
-        self._stack: List[Tuple[str, Optional[str]]] = []
+        # Stack frames are (name, span_id, attrs); span_id is None when
+        # the frame was opened without a context.  ``attrs`` is the dict
+        # the span's event carries, so :meth:`annotate` can extend it.
+        self._stack: List[Tuple[str, Optional[str], Dict[str, Any]]] = []
 
     @property
     def depth(self) -> int:
@@ -94,9 +95,9 @@ class Tracer:
             ids = {"trace_id": ctx.trace_id, "span_id": span_id}
             if parent_id is not None:
                 ids["parent_id"] = parent_id
-            self._stack.append((name, span_id))
+            self._stack.append((name, span_id, attrs))
         else:
-            self._stack.append((name, None))
+            self._stack.append((name, None, attrs))
         started = time.perf_counter()
         try:
             yield handle
@@ -112,3 +113,9 @@ class Tracer:
                 **ids,
                 **attrs,
             )
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes to the innermost open span's event (for counts
+        known only once the spanned work is done); no-op outside a span."""
+        if self._stack:
+            self._stack[-1][2].update(attrs)

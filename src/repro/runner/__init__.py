@@ -29,6 +29,7 @@ from .campaign import (
     FLEET_UNIT_KIND,
     TILE_UNIT_KIND,
     aggregate_chip_results,
+    auto_chips_per_unit,
     auto_condition_tiles,
     build_chip_units,
     build_fleet_units,
@@ -107,6 +108,7 @@ __all__ = [
     "UnitResult",
     "WorkUnit",
     "aggregate_chip_results",
+    "auto_chips_per_unit",
     "auto_condition_tiles",
     "backend_from_spec",
     "build_chip_units",

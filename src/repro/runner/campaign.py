@@ -69,6 +69,16 @@ TILE_UNIT_KIND = "fleet-tile-measurement"
 #: supported maximum, matching the legacy in-process campaign.
 TREFI_HEADROOM = 1.05
 
+#: Units per pool worker an auto-sized plan aims for: enough to balance
+#: uneven chips across the pool, few enough to amortize per-unit setup.
+AUTO_UNITS_PER_WORKER = 4
+
+#: Expected weak cells an auto-sized unit may hold.  A fused unit's state
+#: (stacked tails, DPD draws, pattern states) grows with its cells, so this
+#: bounds a worker's memory on large-tail campaigns (1-4 chips a unit at
+#: 0.25 Gbit); tiny-tail campaigns never reach it.
+AUTO_UNIT_WEAK_CELLS = 16384
+
 #: vendor -> interval -> failure counts in ascending chip order.
 CountTable = Dict[str, Dict[float, List[int]]]
 
@@ -157,6 +167,22 @@ def build_chip_units(
             )
             chip_id += 1
     return tuple(units)
+
+
+def auto_chips_per_unit(
+    n_chips: int, workers: int, expected_weak_cells: float
+) -> int:
+    """Chips per fused unit when the caller does not say.
+
+    At most ``ceil(n_chips / (AUTO_UNITS_PER_WORKER * workers))``, so every
+    worker gets several units, and at most
+    :data:`AUTO_UNIT_WEAK_CELLS` ``/ expected_weak_cells`` (the largest
+    per-chip expectation among the campaign's vendors), so a unit's memory
+    stays bounded.  Never below one chip.
+    """
+    by_workers = -(-int(n_chips) // (AUTO_UNITS_PER_WORKER * max(1, int(workers))))
+    by_cells = int(AUTO_UNIT_WEAK_CELLS // max(1.0, float(expected_weak_cells)))
+    return max(1, min(by_workers, by_cells))
 
 
 def measure_chip(payload: Mapping[str, Any]) -> Dict[str, Any]:
@@ -385,6 +411,9 @@ def measure_fleet(payload: Mapping[str, Any]) -> Dict[str, Any]:
             for i, result in enumerate(results):
                 temperature_failures[i].append([temperature, float(len(result))])
 
+        # The unit is done with its fused states; drop them now rather
+        # than when the worker next collects garbage.
+        fleet.population.invalidate_cache()
         return {
             "chips": [
                 {

@@ -90,6 +90,8 @@ class CampaignJobSpec:
     seed: int = rng_mod.DEFAULT_SEED
     intervals_s: Tuple[float, ...] = (0.512, 1.024, 2.048)
     temperatures_c: Tuple[float, ...] = (45.0, 55.0)
+    #: Chips per fused work unit (``None`` = auto-sized, ``1`` = the
+    #: per-chip worker).  Execution knob only -- byte-identical results.
     chips_per_unit: Optional[int] = None
     max_retries: int = 1
     fast_path: Optional[bool] = None

@@ -356,7 +356,9 @@ class JobManager:
 
         Returns ``(queue, sink)`` while the job can still produce events,
         or ``(rows, None)`` replayed from the run directory's
-        ``events.jsonl`` once it cannot.
+        ``events.jsonl`` once it cannot.  A replay ends with the job's
+        terminal ``job.state`` event, as a live stream does -- a client
+        that subscribes just after the job finished sees the same end.
         """
         job = self._job(job_id)
         if job.sink is not None and not job.record.terminal:
@@ -371,6 +373,17 @@ class JobManager:
                     rows.append(json.loads(line))
                 except json.JSONDecodeError:
                     continue  # torn tail
+        record = job.record
+        if record.terminal:
+            rows.append(
+                {
+                    "event": "job.state",
+                    "ts": record.finished_ts,
+                    "job_id": job_id,
+                    "state": record.state,
+                    "error": record.error,
+                }
+            )
         return rows, None
 
     # ------------------------------------------------------------------

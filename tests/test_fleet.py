@@ -543,9 +543,12 @@ class TestDefaultWorkerCount:
         assert default_worker_count() == 7
 
     def test_never_returns_zero(self, monkeypatch):
+        # An empty affinity mask falls back to os.cpu_count(); pin it so
+        # the result does not depend on the host's core count.
         monkeypatch.setattr(
             executors_mod.os, "sched_getaffinity", lambda pid: set(), raising=False
         )
+        monkeypatch.setattr(executors_mod.os, "cpu_count", lambda: 1)
         assert default_worker_count() == 1
         monkeypatch.delattr(executors_mod.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(executors_mod.os, "cpu_count", lambda: None)

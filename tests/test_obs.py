@@ -357,7 +357,8 @@ class TestZeroPerturbation:
         run_dir = tmp_path / "run"
         try:
             obs.enable()
-            campaign.run(run_dir=str(run_dir), **CAMPAIGN_KW)
+            # Per-iteration profiler events come from the per-chip worker.
+            campaign.run(run_dir=str(run_dir), chips_per_unit=1, **CAMPAIGN_KW)
         finally:
             obs.disable()
             obs.reset()
@@ -372,9 +373,34 @@ class TestZeroPerturbation:
         assert (run_dir / "results.jsonl").exists()
 
     def test_report_renders_campaign_counters(self, campaign, enabled_obs):
-        campaign.run(**CAMPAIGN_KW)
+        # span.profiler.run is the per-chip worker's profiler span.
+        campaign.run(chips_per_unit=1, **CAMPAIGN_KW)
         text = obs.report(title="campaign metrics")
         assert "campaign metrics" in text
         assert "chip.commands" in text
         assert "runner.units" in text
         assert "span.profiler.run" in text
+
+    def test_default_path_events_show_prefilter_selectivity(self, campaign, tmp_path):
+        run_dir = tmp_path / "run"
+        try:
+            obs.enable()
+            campaign.run(run_dir=str(run_dir), **CAMPAIGN_KW)
+            text = obs.report(title="campaign metrics")
+        finally:
+            obs.disable()
+            obs.reset()
+        rows = [
+            json.loads(line)
+            for line in (run_dir / EVENTS_NAME).read_text().splitlines()
+        ]
+        compares = [
+            r for r in rows
+            if r["event"] == "span" and r.get("name") == "kernel.read_compare"
+        ]
+        assert compares
+        for row in compares:
+            assert 0 <= row["candidates"] <= row["cells"]
+        assert any(row["cells"] > 0 for row in compares)
+        assert "span.kernel.read_compare" in text
+        assert "kernel.prefilter.candidate_frac" in text

@@ -343,6 +343,16 @@ class TestTop:
         assert "pool 2/4" in frame
         assert "sampled queue depth: 1" in frame
 
+    def test_render_frame_shows_prefilter_selectivity(self):
+        samples = [
+            ("kernel_prefilter_candidate_frac_sum", {}, 0.06),
+            ("kernel_prefilter_candidate_frac_count", {}, 3.0),
+        ]
+        frame = render_frame({"status": "ok"}, [], {}, samples)
+        assert "prefilter: 2.00% of deterministic reads were candidates" in frame
+        assert "mean over 3 grids" in frame
+        assert "prefilter" not in render_frame({"status": "ok"}, [], {}, [])
+
     def test_render_frame_empty_service(self):
         frame = render_frame({"status": "ok"}, [], {}, [])
         assert "(no jobs)" in frame
@@ -410,6 +420,7 @@ class TestServiceLivePlane:
             # Kernel-phase histograms from the fleet megakernel reached
             # the plane (live while running, completed-fold after).
             assert "span_kernel_read_compare" in final
+            assert "kernel_prefilter_candidate_frac_count" in final
             assert "service_shm_segment_bytes" in final
             assert "service_pool_workers_total" in final
 

@@ -290,9 +290,13 @@ def _series_index(snapshot):
 
 class TestMultiprocessParity:
     def test_merged_report_matches_serial(self, campaign):
-        serial_summary, serial_snap = _run_with_metrics(campaign, backend="serial")
+        # Per-chip units on both sides: the default sizes fused units from
+        # the worker count, so its kernel series differ by design.
+        serial_summary, serial_snap = _run_with_metrics(
+            campaign, backend="serial", chips_per_unit=1
+        )
         pool_summary, pool_snap = _run_with_metrics(
-            campaign, backend=None, workers=4
+            campaign, backend=None, workers=4, chips_per_unit=1
         )
         # Same simulation outcome either way.
         assert pool_summary == serial_summary

@@ -403,6 +403,17 @@ class TestHttpApi:
             direct_summary(**TINY_SPEC)
         )
 
+    def test_events_after_the_job_finished_end_with_its_state(self, service):
+        # A subscriber that arrives after the job finished gets the replay
+        # from events.jsonl, which must end like a live stream does.
+        client = ServiceClient(service.host, service.port)
+        job = client.submit("acme", dict(TINY_SPEC))
+        assert client.wait(job["job_id"], timeout=120)["state"] == DONE
+        events = list(client.events(job["job_id"]))
+        assert "runner.start" in [ev["event"] for ev in events]
+        assert events[-1]["event"] == "job.state"
+        assert events[-1]["state"] == DONE
+
     def test_concurrent_multi_tenant_submissions(self, service):
         client = ServiceClient(service.host, service.port)
         jobs = [
