@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
-from scipy.optimize import brentq
-from scipy.stats import binom
-
 from ..errors import ConfigurationError
 
 #: Consumer-grade reliability target (Section 6.2.2).
@@ -67,6 +64,10 @@ def uncorrectable_word_probability(ecc: EccStrength, rber: float) -> float:
     """P[more than ``ecc.correctable`` failures in one ECC word] (Eq 3/5)."""
     if not (0.0 <= rber <= 1.0):
         raise ConfigurationError(f"RBER must lie in [0, 1], got {rber!r}")
+    # Imported here, not at module top: scipy.stats is the largest import
+    # in the package and only this Table 1 math needs it.
+    from scipy.stats import binom
+
     # Survival function of the binomial: P[N > k].
     return float(binom.sf(ecc.correctable, ecc.word_bits, rber))
 
@@ -84,17 +85,27 @@ def tolerable_rber(ecc: EccStrength, target_uber: float = CONSUMER_UBER) -> floa
     """
     if not (0.0 < target_uber < 1.0):
         raise ConfigurationError(f"target UBER must lie in (0, 1), got {target_uber!r}")
+    from scipy.optimize import brentq
 
     def objective(log_r: float) -> float:
-        return math.log(uber(ecc, math.exp(log_r))) - math.log(target_uber)
+        # An UBER that underflows to 0.0 lies below any target.
+        word_uber = uber(ecc, math.exp(log_r))
+        if word_uber == 0.0:
+            return -math.inf
+        return math.log(word_uber) - math.log(target_uber)
 
     lo, hi = math.log(1e-30), math.log(0.5)
-    if objective(lo) > 0.0:
-        raise ConfigurationError(
-            f"target UBER {target_uber!r} is unreachable even at RBER 1e-30 for {ecc.name}"
-        )
     if objective(hi) < 0.0:
         return 0.5
+    # Strong codes underflow at the 1e-30 bracket; raise it a decade at a
+    # time to the first RBER whose UBER is representable.
+    while objective(lo) == -math.inf:
+        lo = min(lo + math.log(10.0), hi)
+    if objective(lo) > 0.0:
+        raise ConfigurationError(
+            f"target UBER {target_uber!r} is unreachable even at RBER "
+            f"{math.exp(lo):.3g} for {ecc.name}"
+        )
     return math.exp(brentq(objective, lo, hi, xtol=1e-12))
 
 

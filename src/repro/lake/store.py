@@ -12,7 +12,8 @@ streams a run directory's ``results.jsonl``/``events.jsonl`` into one
 columnar segment (resume-aware -- later rows win, torn tails skipped --
 exactly like :meth:`repro.runner.store.ResultStore.load_results`), and the
 catalog remembers each run's manifest so cross-run queries can group by
-campaign configuration.
+campaign configuration, plus the size and mtime of the run-dir files it
+read, so :meth:`ResultLake.compact_if_changed` can skip an unchanged run.
 
 :class:`LakeStore` is the online half: a drop-in implementation of the
 ``ResultStore`` interface the engine writes through.  Completions append
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..runner.store import manifest_spec_diff
+from ..runner.store import EVENTS_NAME, MANIFEST_NAME, RESULTS_NAME, manifest_spec_diff
 from ..runner.units import STATUS_OK, UnitResult
 from .columns import LAKE_SCHEMA, RunColumns, decode_results, encode_results, load_columns, save_columns
 
@@ -59,6 +60,20 @@ def run_id_for_dir(run_dir: Union[str, os.PathLike]) -> str:
     name = pathlib.Path(run_dir).resolve().name or "run"
     cleaned = re.sub(r"[^A-Za-z0-9._-]", "-", name).lstrip("._-") or "run"
     return validate_run_id(cleaned[:120])
+
+
+def source_stat(run_dir: Union[str, os.PathLike]) -> Dict[str, Optional[List[int]]]:
+    """``name -> [st_size, st_mtime_ns]`` of the run-dir files compaction
+    reads (``None`` for an absent file): the catalog's change fingerprint."""
+    stat: Dict[str, Optional[List[int]]] = {}
+    for name in (RESULTS_NAME, EVENTS_NAME, MANIFEST_NAME):
+        try:
+            st = (pathlib.Path(run_dir) / name).stat()
+        except FileNotFoundError:
+            stat[name] = None
+        else:
+            stat[name] = [st.st_size, st.st_mtime_ns]
+    return stat
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +236,13 @@ class ResultLake:
         source: Optional[str] = None,
         source_rows: int = 0,
         skipped_lines: int = 0,
+        stat: Optional[Mapping[str, Any]] = None,
     ) -> CompactionReport:
-        """Encode folded rows into a segment and register it in the catalog."""
+        """Encode folded rows into a segment and register it in the catalog.
+
+        ``stat`` is the :func:`source_stat` of the run directory the rows
+        came from, taken before it was read.
+        """
         validate_run_id(run_id)
         cols = encode_results(rows, events=list(events) if events else None)
         segment = save_columns(cols, self.segment_path(run_id))
@@ -236,6 +256,7 @@ class ResultLake:
             "events": cols.n_events,
             "source_rows": int(source_rows),
             "skipped_lines": int(skipped_lines),
+            "source_stat": dict(stat) if stat is not None else None,
         }
         self._save_catalog(catalog)
         return CompactionReport(
@@ -259,10 +280,9 @@ class ResultLake:
         natural refresh after a resumed run appended more rows.
         """
         run_dir = pathlib.Path(run_dir)
-        # Import here to avoid a hard layering cycle: runner.store names
-        # live in the runner package, which never imports the lake.
-        from ..runner.store import EVENTS_NAME, MANIFEST_NAME, RESULTS_NAME
-
+        # Fingerprint before reading: a row appended mid-read changes the
+        # file after its fingerprint, so the next check recompacts.
+        stat = source_stat(run_dir)
         manifest_path = run_dir / MANIFEST_NAME
         results_path = run_dir / RESULTS_NAME
         if not manifest_path.exists() and not results_path.exists():
@@ -291,7 +311,32 @@ class ResultLake:
             source=str(run_dir),
             source_rows=raw_rows,
             skipped_lines=skipped,
+            stat=stat,
         )
+
+    def compact_if_changed(
+        self,
+        run_dir: Union[str, os.PathLike],
+        run_id: Optional[str] = None,
+    ) -> Optional[CompactionReport]:
+        """:meth:`compact_run_dir`, unless the catalog already holds this run
+        directory unchanged; returns ``None`` when it skips.
+
+        Unchanged means the segment exists and the :func:`source_stat`
+        recorded at the last compaction of the same ``source`` still
+        matches.  Entries without a recorded fingerprint always recompact.
+        """
+        run_dir = pathlib.Path(run_dir)
+        run_id = run_id if run_id is not None else run_id_for_dir(run_dir)
+        entry = self._load_catalog()["runs"].get(run_id)
+        if (
+            entry is not None
+            and entry.get("source") == str(run_dir)
+            and entry.get("source_stat") == source_stat(run_dir)
+            and self.segment_path(run_id).exists()
+        ):
+            return None
+        return self.compact_run_dir(run_dir, run_id=run_id)
 
     # -- read ----------------------------------------------------------
     def columns(self, run_id: str) -> RunColumns:

@@ -491,13 +491,15 @@ class JobManager:
     ) -> Dict[str, Any]:
         """Cross-run analytics over one tenant's finished jobs.
 
-        Every terminal job with a persisted ``results.jsonl`` is
-        (re)compacted into the tenant's columnar lake -- recompaction is
-        idempotent and refreshes runs that were resumed since the last
-        query -- and then one report from :data:`repro.lake.REPORTS`
-        (or ``summary``, the canonical single-run summary that is
-        byte-identical to the JSONL-derived one) runs over it.  Live jobs
-        are excluded: their run dirs are still being appended to.
+        Every terminal job with a persisted ``results.jsonl`` that is new
+        or changed since its last compaction is (re)compacted into the
+        tenant's columnar lake -- a resumed run that appended rows is
+        refreshed, an unchanged one is skipped, and ``compacted`` lists
+        the runs this call (re)compacted -- and then one report from
+        :data:`repro.lake.REPORTS` (or ``summary``, the canonical
+        single-run summary that is byte-identical to the JSONL-derived
+        one) runs over it.  Live jobs are excluded: their run dirs are
+        still being appended to.
 
         The job list is snapshotted on the event loop; compaction and the
         columnar query run in a worker thread.
@@ -529,8 +531,8 @@ class JobManager:
         for job_id, run_dir in eligible:
             if not (run_dir / RESULTS_NAME).exists():
                 continue
-            lake.compact_run_dir(run_dir, run_id=job_id)
-            compacted.append(job_id)
+            if lake.compact_if_changed(run_dir, run_id=job_id) is not None:
+                compacted.append(job_id)
         if report == "summary":
             if not runs or len(runs) != 1:
                 raise ConfigurationError(

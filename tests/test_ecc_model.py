@@ -1,11 +1,17 @@
 """Unit tests for the binomial UBER/RBER model (Table 1)."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.ecc.model import (
     CONSUMER_UBER,
     ECC2,
+    ECC_STRENGTHS,
+    ENTERPRISE_UBER,
     NO_ECC,
     SECDED,
     EccStrength,
@@ -17,6 +23,7 @@ from repro.ecc.model import (
 from repro.errors import ConfigurationError
 
 GIB = 1 << 30
+GOLDEN = json.loads(Path(__file__).with_name("golden_ecc.json").read_text(encoding="utf-8"))
 
 
 class TestUberModel:
@@ -90,6 +97,37 @@ class TestInversion:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             tolerable_bit_errors(SECDED, 0)
+
+    @pytest.mark.parametrize("correctable", [12, 20, 60])
+    def test_strong_codes_solve_despite_underflow(self, correctable):
+        """binom.sf underflows to 0.0 at the 1e-30 bracket for strong codes."""
+        ecc = EccStrength(name="strong", word_bits=144, correctable=correctable)
+        rber = tolerable_rber(ecc, CONSUMER_UBER)
+        assert 0.0 < rber < 0.5
+        assert uber(ecc, rber) == pytest.approx(CONSUMER_UBER, rel=0.01)
+
+    def test_target_met_at_half_rber(self):
+        ecc = EccStrength(name="all-but-one", word_bits=144, correctable=143)
+        assert tolerable_rber(ecc, CONSUMER_UBER) == 0.5
+
+
+class TestGoldenTable:
+    """Bit-for-bit pin of the tolerable RBERs (``golden_ecc.json``)."""
+
+    def test_tolerable_rbers_match_golden_digest(self):
+        table = {
+            name: {
+                repr(target): tolerable_rber(ecc, target)
+                for target in (CONSUMER_UBER, ENTERPRISE_UBER)
+            }
+            for name, ecc in ECC_STRENGTHS.items()
+        }
+        text = json.dumps(table, sort_keys=True)
+        assert table == GOLDEN["values"]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN["sha256"], (
+            "tolerable RBER table changed; if on purpose, update "
+            "tests/golden_ecc.json in the same reviewed change"
+        )
 
 
 class TestEccStrengthValidation:

@@ -33,6 +33,7 @@ from repro.lake import (
     summary_from_run_dir,
 )
 from repro.lake.columns import VALUE_JSON, _chip_encodable
+from repro.lake.store import source_stat
 from repro.runner import RunnerEngine, WorkUnit
 from repro.runner.store import ResultStore
 
@@ -195,6 +196,35 @@ class TestResultLake:
         second = lake.compact_run_dir(run_dir)
         assert first.units == second.units
         assert lake.run_ids() == [run_id_for_dir(run_dir)]
+
+    def test_compact_if_changed_skips_unchanged_runs(self, tmp_path):
+        run_dir = _campaign_run(tmp_path, "round-0")
+        lake = ResultLake(tmp_path / "lake")
+        run_id = run_id_for_dir(run_dir)
+        first = lake.compact_if_changed(run_dir)
+        assert first is not None
+        assert lake.entry(run_id)["source_stat"] == source_stat(run_dir)
+        assert lake.compact_if_changed(run_dir) is None
+        before = _dumps(summary_from_lake(lake, run_id))
+
+        results = run_dir / "results.jsonl"
+        last_row = results.read_text(encoding="utf-8").splitlines()[-1]
+        with open(results, "a", encoding="utf-8") as handle:
+            handle.write(last_row + "\n")
+        report = lake.compact_if_changed(run_dir)
+        assert report is not None and report.source_rows == first.source_rows + 1
+        assert lake.compact_if_changed(run_dir) is None
+        assert _dumps(summary_from_lake(lake, run_id)) == before
+
+    def test_compact_if_changed_recompacts_entries_without_fingerprint(self, tmp_path):
+        run_dir = _campaign_run(tmp_path, "round-0")
+        lake = ResultLake(tmp_path / "lake")
+        lake.compact_run_dir(run_dir)
+        catalog = json.loads(lake.catalog_path.read_text(encoding="utf-8"))
+        del catalog["runs"][run_id_for_dir(run_dir)]["source_stat"]
+        lake.catalog_path.write_text(json.dumps(catalog), encoding="utf-8")
+        assert lake.compact_if_changed(run_dir) is not None
+        assert lake.compact_if_changed(run_dir) is None
 
     def test_unknown_run_id(self, tmp_path):
         lake = ResultLake(tmp_path / "lake")

@@ -251,6 +251,36 @@ class TestJobManager:
             summary_from_run_dir(tmp_path / "acme" / id_a)
         )
 
+    def test_lake_report_compacts_only_changed_runs(self, tmp_path):
+        async def scenario():
+            manager = JobManager(tmp_path, pool_workers=0, max_running=2)
+            await manager.start()
+            try:
+                spec = CampaignJobSpec(**TINY_SPEC)
+                a = await manager.submit("acme", spec)
+                b = await manager.submit("acme", spec)
+                for record in (a, b):
+                    await _wait_state(manager, record.job_id, (DONE,))
+                first = await manager.lake_report("acme", report="trend")
+                again = await manager.lake_report("acme", report="trend")
+                # A resumed job re-records a unit: the file grows, the
+                # folded rows stay the same.
+                results = tmp_path / "acme" / a.job_id / "results.jsonl"
+                last_row = results.read_text(encoding="utf-8").splitlines()[-1]
+                with open(results, "a", encoding="utf-8") as handle:
+                    handle.write(last_row + "\n")
+                appended = await manager.lake_report("acme", report="trend")
+                return a.job_id, b.job_id, first, again, appended
+            finally:
+                await manager.shutdown()
+
+        id_a, id_b, first, again, appended = asyncio.run(scenario())
+        assert first["compacted"] == [id_a, id_b]
+        assert again["compacted"] == []
+        assert appended["compacted"] == [id_a]
+        assert first["rows"] and canon(first["rows"]) == canon(again["rows"])
+        assert canon(appended["rows"]) == canon(first["rows"])
+
     def test_fair_round_robin_across_tenants(self, tmp_path):
         async def scenario():
             manager = JobManager(tmp_path, pool_workers=0, max_running=1)
