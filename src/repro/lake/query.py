@@ -96,11 +96,9 @@ def summary_from_lake(lake: ResultLake, run_id: str) -> Dict[str, Any]:
 
     Byte-identical to :func:`summary_from_run_dir` over the same logical
     run.  Falls back to the exact row-reconstruction path when the run
-    carries a live delta journal or non-chip-shaped ``ok`` values --
-    correctness never depends on the fast path applying.
+    carries non-chip-shaped ``ok`` values -- correctness never depends on
+    the fast path applying.
     """
-    if lake.has_delta(run_id):
-        return run_summary(lake.results(run_id))
     cols = lake.columns(run_id)
     ok_mask = cols.status == 0
     if bool(np.any((cols.value_kind == VALUE_JSON) & ok_mask)):

@@ -76,7 +76,12 @@ def validate_tenant(tenant: str) -> str:
 
 #: Execution knobs older specs carried (byte-identical results for any
 #: value); :meth:`CampaignJobSpec.from_json_dict` drops them.
-RETIRED_SPEC_KEYS = ("shared_population", "megakernel", "condition_tiles")
+RETIRED_SPEC_KEYS = (
+    "shared_population",
+    "megakernel",
+    "condition_tiles",
+    "fast_path",
+)
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,6 @@ class CampaignJobSpec:
     #: per-chip worker).  Execution knob only -- byte-identical results.
     chips_per_unit: Optional[int] = None
     max_retries: int = 1
-    fast_path: Optional[bool] = None
     #: Submission-window size for this job's share of the shared pool;
     #: ``None`` uses the manager's pool width.
     workers: Optional[int] = None
@@ -133,7 +137,6 @@ class CampaignJobSpec:
             "temperatures_c": [float(t) for t in self.temperatures_c],
             "chips_per_unit": self.chips_per_unit,
             "max_retries": self.max_retries,
-            "fast_path": self.fast_path,
             "workers": self.workers,
         }
 
@@ -166,8 +169,6 @@ class CampaignJobSpec:
         for key in ("chips_per_unit", "workers"):
             if key in data and data[key] is not None:
                 kwargs[key] = int(data[key])
-        if data.get("fast_path") is not None:
-            kwargs["fast_path"] = bool(data["fast_path"])
         return cls(**kwargs)
 
     # ------------------------------------------------------------------
@@ -184,7 +185,6 @@ class CampaignJobSpec:
             geometry=self.geometry(),
             iterations=self.iterations,
             seed=self.seed,
-            fast_path=self.fast_path,
         )
 
 

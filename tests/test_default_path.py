@@ -146,8 +146,9 @@ class TestCrossModeResume:
         _interrupted(campaign, run_dir, 2, after=2)
         manifest_path = run_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        # The manifest key has the spec field's name.
-        manifest[RETIRED_SPEC_KEYS[-1]] = 2
+        # The manifest key has the retired spec field's name.
+        assert "condition_tiles" in RETIRED_SPEC_KEYS
+        manifest["condition_tiles"] = 2
         manifest_path.write_text(json.dumps(manifest))
         resumed = campaign.run(run_dir=str(run_dir), resume=True, **CAMPAIGN_KW)
         assert summary_bytes(resumed) == oracle

@@ -18,7 +18,7 @@ from repro.analysis.campaign import CharacterizationCampaign
 from repro.conditions import Conditions
 from repro.core import BruteForceProfiler
 from repro.core.device import ObservedCellAccumulator
-from repro.dram.cell import Z_PIN_ONE, Z_PIN_ZERO, fast_path_default, set_fast_path_default
+from repro.dram.cell import Z_PIN_ONE, Z_PIN_ZERO
 from repro.dram.chip import SimulatedDRAMChip
 from repro.dram.geometry import ChipGeometry
 from repro.errors import CommandSequenceError
@@ -127,16 +127,6 @@ class TestProfileEquivalence:
         assert_profiles_identical(profiler.run(ref, conditions), profiler.run(fast, conditions))
 
 
-class TestCampaignEquivalence:
-    def test_campaign_summaries_byte_identical(self):
-        def summarize(fast_path):
-            return CharacterizationCampaign(
-                chips_per_vendor=1, geometry=MICRO, iterations=1, fast_path=fast_path
-            ).run(intervals_s=(0.512, 1.024), temperatures_c=(45.0, 55.0))
-
-        assert summarize(False) == summarize(True)
-
-
 class TestFleetEquivalence:
     """Fleet-batched evaluation extends the same contract: stacking B
     chips into one fused numpy call must not change a single byte."""
@@ -154,24 +144,6 @@ class TestFleetEquivalence:
         serial = summarize(None)
         assert summarize(3) == serial
         assert summarize(2) == serial
-
-    def test_fleet_composes_with_both_fast_path_modes(self):
-        """fast_path and fleet batching are orthogonal byte-identical
-        layers; all four combinations agree."""
-
-        def summarize(fast_path, chips_per_unit):
-            return CharacterizationCampaign(
-                chips_per_vendor=1, geometry=MICRO, iterations=1, fast_path=fast_path
-            ).run(
-                intervals_s=(0.512, 1.024),
-                temperatures_c=(45.0,),
-                chips_per_unit=chips_per_unit,
-            )
-
-        reference = summarize(False, None)
-        assert summarize(True, None) == reference
-        assert summarize(False, 3) == reference
-        assert summarize(True, 3) == reference
 
 
 class TestChipReset:
@@ -201,26 +173,10 @@ class TestChipReset:
 
 
 class TestFastPathDefault:
-    def test_default_toggle_round_trip(self):
-        original = fast_path_default()
-        try:
-            previous = set_fast_path_default(False)
-            assert previous == original
-            assert not fast_path_default()
-            assert not SimulatedDRAMChip(geometry=MICRO).population.fast_path_enabled
-            set_fast_path_default(True)
-            assert SimulatedDRAMChip(geometry=MICRO).population.fast_path_enabled
-        finally:
-            set_fast_path_default(original)
-
     def test_explicit_arg_overrides_default(self):
-        original = fast_path_default()
-        try:
-            set_fast_path_default(True)
-            chip = SimulatedDRAMChip(geometry=MICRO, fast_path=False)
-            assert not chip.population.fast_path_enabled
-        finally:
-            set_fast_path_default(original)
+        assert SimulatedDRAMChip(geometry=MICRO).population.fast_path_enabled
+        chip = SimulatedDRAMChip(geometry=MICRO, fast_path=False)
+        assert not chip.population.fast_path_enabled
 
 
 class TestObservedCellAccumulator:

@@ -1,4 +1,4 @@
-"""The columnar result lake: encoding, compaction, stores, analytics.
+"""The columnar result lake: encoding, compaction, analytics.
 
 The load-bearing contract throughout: every summary derived from the
 lake's columnar segments is **byte-identical** (``json.dumps`` with
@@ -9,8 +9,11 @@ sorted keys) to the same summary derived by re-parsing the source
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from repro.errors import ConfigurationError
 from repro.lake import (
     LAKE_SCHEMA,
     CompactionReport,
-    LakeStore,
     ResultLake,
     decode_results,
     encode_results,
@@ -34,8 +36,8 @@ from repro.lake import (
 )
 from repro.lake.columns import VALUE_JSON, _chip_encodable
 from repro.lake.store import source_stat
-from repro.runner import RunnerEngine, WorkUnit
 from repro.runner.store import ResultStore
+from repro.runner.units import UnitResult
 
 from conftest import TINY_GEOMETRY
 
@@ -186,8 +188,59 @@ class TestResultLake:
         assert _dumps(summary_from_lake(lake, run_id)) == _dumps(
             summary_from_run_dir(run_dir)
         )
-        # The fast path really engaged: all-chip run, no delta journal.
-        assert not lake.has_delta(run_id)
+
+    def test_non_chip_values_summarize_through_the_row_fallback(self, tmp_path):
+        rows = _rows([{"x2": 2 * i} for i in range(7)], failed=["u-009"])
+        lake = ResultLake(tmp_path / "lake")
+        lake.write_run("run-a", rows)
+        summary = summary_from_lake(lake, "run-a")
+        expected = run_summary(
+            {uid: UnitResult.from_json_dict(row) for uid, row in rows.items()}
+        )
+        assert _dumps(summary) == _dumps(expected)
+        assert summary["failed_units"] == ["u-009"]
+        assert len(summary["other_ok_units"]) == 7
+
+    def test_concurrent_writers_keep_every_run(self, tmp_path):
+        """Writers of one lake are serialized: threads racing to compact
+        the same run dirs into a fresh lake all succeed, and the catalog
+        lists every run (a lost catalog update would drop one)."""
+        source = _campaign_run(tmp_path, "round-0")
+        run_dirs = [source]
+        for i in range(1, 4):
+            run_dirs.append(tmp_path / f"round-{i}")
+            shutil.copytree(source, run_dirs[-1])
+        n_threads = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(5):
+                lake = ResultLake(tmp_path / f"lake-{trial}")
+                barrier = threading.Barrier(n_threads, timeout=30)
+                errors = []
+
+                def compact_all(order):
+                    barrier.wait()
+                    try:
+                        for run_dir in order:
+                            lake.compact_if_changed(run_dir)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+
+                orders = [run_dirs[n:] + run_dirs[:n] for n in range(n_threads)]
+                threads = [
+                    threading.Thread(target=compact_all, args=(order,))
+                    for order in orders
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert lake.run_ids() == [f"round-{i}" for i in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_recompaction_is_idempotent(self, tmp_path):
         run_dir = _campaign_run(tmp_path, "round-0")
@@ -236,61 +289,6 @@ class TestResultLake:
         lake = ResultLake(tmp_path / "lake")
         with pytest.raises(ConfigurationError):
             lake.compact_run_dir(tmp_path / "empty")
-
-
-def _worker(payload):
-    if payload.get("boom"):
-        raise RuntimeError("boom")
-    return {"x2": payload["n"] * 2}
-
-
-def _units(n, boom=()):
-    return [
-        WorkUnit(unit_id=f"u-{i:03d}", kind="t", payload={"n": i, "boom": i in boom})
-        for i in range(n)
-    ]
-
-
-MANIFEST = {"fingerprint": "f" * 32, "experiment": "lake-test", "n_units": 8}
-
-
-class TestLakeStore:
-    def test_engine_run_resume_and_fingerprint_guard(self, tmp_path):
-        lake_root = tmp_path / "lake"
-        store = LakeStore(lake_root, "run-a")
-        report = RunnerEngine(store=store).run(_worker, _units(8, boom={3}), MANIFEST)
-        assert report.stats.succeeded == 7 and report.stats.failed == 1
-
-        lake = ResultLake(lake_root)
-        assert not lake.has_delta("run-a")  # close() folded the journal
-        assert lake.entry("run-a")["manifest"]["status"] == "complete"
-        summary = summary_from_lake(lake, "run-a")
-        assert summary["ok"] == 7 and summary["failed_units"] == ["u-003"]
-        assert len(summary["other_ok_units"]) == 7  # non-chip values
-
-        # Reuse without resume is refused; resume executes only the gap.
-        with pytest.raises(ConfigurationError):
-            RunnerEngine(store=LakeStore(lake_root, "run-a")).run(
-                _worker, _units(8), MANIFEST
-            )
-        resumed = RunnerEngine(
-            store=LakeStore(lake_root, "run-a"), resume=True
-        ).run(_worker, _units(8), MANIFEST)
-        assert resumed.stats.executed == 1  # just the previously failed unit
-        assert resumed.stats.skipped == 7
-        assert summary_from_lake(lake, "run-a")["failed"] == 0
-
-        with pytest.raises(ConfigurationError):
-            RunnerEngine(
-                store=LakeStore(lake_root, "run-a"), resume=True
-            ).run(_worker, _units(8), {**MANIFEST, "fingerprint": "0" * 32})
-
-    def test_store_and_run_dir_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            RunnerEngine(
-                store=LakeStore(tmp_path / "lake", "run-a"),
-                run_dir=tmp_path / "run",
-            )
 
 
 class TestAnalytics:
@@ -348,7 +346,7 @@ class TestCli:
             capture_output=True,
             text=True,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
+            cwd=pathlib.Path(__file__).resolve().parents[1],
         )
 
     def test_compact_then_query(self, tmp_path):

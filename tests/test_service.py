@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -50,15 +51,14 @@ TINY_SPEC = dict(
     intervals_s=(0.512,),
     temperatures_c=(45.0,),
 )
-#: Deliberately slow spec (~200 ms per chip): full-size chips on the
-#: scalar path, so cancel/kill tests reliably land mid-run.
+#: Deliberately slow spec: six 1 Gbit chips over a 3 x 2 condition grid on
+#: the default path, so cancel/kill tests reliably land mid-run.
 SLOW_SPEC = dict(
     chips_per_vendor=2,
     capacity_gbit=1.0,
     iterations=2,
     intervals_s=(0.512, 1.024, 2.048),
     temperatures_c=(45.0, 55.0),
-    fast_path=False,
 )
 
 
@@ -98,12 +98,25 @@ class TestCampaignJobSpec:
         assert "chips_per_vndor" in message and "chips_per_vendor" in message
 
     def test_retired_keys_are_dropped(self):
-        retired = dict(zip(RETIRED_SPEC_KEYS, (True, False, 4)))
-        data = dict(CampaignJobSpec(**SLOW_SPEC).to_json_dict(), **retired)
-        assert CampaignJobSpec.from_json_dict(data) == CampaignJobSpec(**SLOW_SPEC)
+        retired = {
+            "shared_population": True,
+            "megakernel": False,
+            "condition_tiles": 4,
+            "fast_path": False,
+        }
+        assert set(retired) == set(RETIRED_SPEC_KEYS)
+        spec = CampaignJobSpec(**SLOW_SPEC)
+        data = dict(spec.to_json_dict(), **retired)
+        assert CampaignJobSpec.from_json_dict(data) == spec
+        # Rows written since the other three knobs went carry only
+        # ``fast_path``: null by default, or a bool.
+        for fast_path in (None, True, False):
+            row = dict(spec.to_json_dict(), fast_path=fast_path)
+            assert CampaignJobSpec.from_json_dict(row) == spec
         # Only the retired keys: any other unknown key is still refused.
-        with pytest.raises(ConfigurationError):
-            CampaignJobSpec.from_json_dict(dict(data, condition_tile=4))
+        for typo in ("condition_tile", "fast_paths"):
+            with pytest.raises(ConfigurationError, match=typo):
+                CampaignJobSpec.from_json_dict(dict(data, **{typo: 4}))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -281,6 +294,35 @@ class TestJobManager:
         assert first["rows"] and canon(first["rows"]) == canon(again["rows"])
         assert canon(appended["rows"]) == canon(first["rows"])
 
+    def test_concurrent_lake_reports_of_one_tenant(self, tmp_path):
+        """Two reports racing to compact the same runs into one fresh lake
+        both return, and the catalog lists every run."""
+
+        async def scenario():
+            manager = JobManager(tmp_path, pool_workers=0, max_running=2)
+            await manager.start()
+            try:
+                spec = CampaignJobSpec(**TINY_SPEC)
+                records = [await manager.submit("acme", spec) for _ in range(4)]
+                for record in records:
+                    await _wait_state(manager, record.job_id, (DONE,))
+                job_ids = [record.job_id for record in records]
+                lake_root = manager.tenant_lake_root("acme")
+                for _ in range(5):
+                    shutil.rmtree(lake_root, ignore_errors=True)
+                    reports = await asyncio.gather(
+                        manager.lake_report("acme", report="runs"),
+                        manager.lake_report("acme", report="runs"),
+                    )
+                    for report in reports:
+                        assert [row[0] for row in report["rows"]] == job_ids
+                    catalog = json.loads((lake_root / "lake.json").read_text())
+                    assert sorted(catalog["runs"]) == job_ids
+            finally:
+                await manager.shutdown()
+
+        asyncio.run(scenario())
+
     def test_fair_round_robin_across_tenants(self, tmp_path):
         async def scenario():
             manager = JobManager(tmp_path, pool_workers=0, max_running=1)
@@ -417,9 +459,15 @@ class TestJobManager:
         """Older ledgers write the retired execution knobs into every row's
         spec; a restarted manager re-adopts such a running job and finishes
         it with the per-chip oracle's summary."""
-        # As older ledgers wrote them: segment default, fused kernel, and
-        # two condition tiles.
-        retired = dict(zip(RETIRED_SPEC_KEYS, (None, True, 2)))
+        # As older ledgers wrote them: segment default, fused kernel, two
+        # condition tiles, and the fast evaluation.
+        retired = {
+            "shared_population": None,
+            "megakernel": True,
+            "condition_tiles": 2,
+            "fast_path": True,
+        }
+        assert set(retired) == set(RETIRED_SPEC_KEYS)
         spec = dict(
             CampaignJobSpec(**TINY_SPEC, chips_per_unit=2).to_json_dict(), **retired
         )

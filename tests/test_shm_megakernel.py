@@ -444,7 +444,6 @@ def test_service_cancel_unlinks_segments(tmp_path):
                 iterations=2,
                 intervals_s=(0.512, 1.024, 2.048),
                 temperatures_c=(45.0, 55.0),
-                fast_path=False,
                 chips_per_unit=2,
             )
             record = await manager.submit("acme", spec)
